@@ -22,7 +22,8 @@
 //! Run: `cargo run --release -p kyp-bench --bin exp_cascade_frontier -- --scale 0.02`
 //! or:  `cargo run --release -p kyp-bench --bin exp_cascade_frontier -- --from-store store/`
 
-use kyp_bench::{harness, report, EvalArgs, ExperimentEnv};
+use knowyourphish::cli::{ArgSpec, CommandSpec};
+use kyp_bench::{harness, harness::EVAL_OPTIONS, report, EvalArgs, ExperimentEnv};
 use kyp_core::{
     cascade::train_url_stage, CascadeBand, CascadeClassifier, CascadeDecision, DetectorConfig,
     FeatureExtractor, PhishDetector,
@@ -36,6 +37,22 @@ use std::time::Instant;
 /// Symmetric band half-widths around the 0.5 score midpoint, narrowest
 /// to widest; 0.5 yields the forced-full band `[0, 1]`.
 const HALF_WIDTHS: [f64; 7] = [0.0, 0.05, 0.1, 0.2, 0.35, 0.45, 0.5];
+
+static SPEC: CommandSpec = CommandSpec {
+    name: "exp_cascade_frontier",
+    summary: "cost/accuracy frontier of the two-stage URL cascade",
+    positional: None,
+    args: &[
+        EVAL_OPTIONS[0],
+        EVAL_OPTIONS[1],
+        EVAL_OPTIONS[2],
+        ArgSpec {
+            name: "from-store",
+            value: "<dir>",
+            help: "train and sweep over a `kyp gen --store` directory instead of generating",
+        },
+    ],
+};
 
 /// Everything the sweep needs, however it was sourced.
 struct FrontierInputs {
@@ -135,18 +152,9 @@ fn store_inputs(dir: &Path) -> Result<FrontierInputs, String> {
 }
 
 fn main() {
-    let args = EvalArgs::parse();
-    let from_store = {
-        let mut iter = std::env::args().skip(1);
-        let mut dir = None;
-        while let Some(a) = iter.next() {
-            if a == "--from-store" {
-                dir = iter.next();
-            }
-        }
-        dir
-    };
-    let mut inputs = match &from_store {
+    let (args, opts) = EvalArgs::parse_with(&SPEC);
+    let from_store = opts.get("from-store");
+    let mut inputs = match from_store {
         Some(dir) => store_inputs(Path::new(dir)).expect("load store inputs"),
         None => generated_inputs(&args),
     };
@@ -156,7 +164,6 @@ fn main() {
         "[cascade] {} test pages, full-pipeline AUC {full_auc:.4}{}",
         n,
         from_store
-            .as_deref()
             .map(|d| format!(" (from store {d})"))
             .unwrap_or_default()
     );

@@ -1,6 +1,5 @@
 //! Regenerates **Table VIII** (processing time per pipeline stage) and
-//! benchmarks the batch-scoring hot path, before vs after the flat
-//! single-core rewrite.
+//! sweeps the batch-scoring hot path over thread counts.
 //!
 //! First measures, per page: webpage scraping (the simulated browser
 //! visit), loading data (json round-trip of the scraped bundle, as the
@@ -8,32 +7,24 @@
 //! classification. Reports median / average / standard deviation in
 //! milliseconds.
 //!
-//! Then sweeps `--threads` (default `1,2,4`) over the batch pipeline.
-//! Each sweep point runs the hot path **twice**:
-//!
-//! - **baseline** — the pre-rewrite implementation kept alive for
-//!   measurement: per-page feature extraction with freshly allocated
-//!   scratch plus the boxed-enum Gradient Boosting tree walk
-//!   ([`PhishDetector::score_reference`]);
-//! - **flat** — scratch-reusing chunked extraction
-//!   ([`FeatureExtractor::extract_batch`]) plus the compiled SoA model
-//!   ([`PhishDetector::score_batch`]), with the arena-backed scrape
-//!   stage timed alongside.
-//!
-//! The two verdict streams must be bit-identical to each other and
-//! across every thread count (`outputs_identical`), and the per-stage
-//! walls (scrape / extract / score) are recorded per sweep point in
-//! `BENCH_pipeline.json`. A sweep point where the flat path fails to
-//! beat the baseline prints a warning to stderr.
+//! Then sweeps `--threads` (default `1,2,4`) over the batch pipeline:
+//! scratch-reusing chunked extraction
+//! ([`FeatureExtractor::extract_batch`]) plus the compiled SoA model
+//! ([`PhishDetector::score_batch`]), with the arena-backed scrape stage
+//! timed alongside. The scores and the retrained model must be
+//! bit-identical across every thread count (`outputs_identical`), and
+//! the per-stage walls (scrape / extract / score) are recorded per sweep
+//! point in `BENCH_pipeline.json`.
 //!
 //! Absolute numbers will beat the paper's Python prototype by orders of
 //! magnitude (Rust, simulated network); the expected *shape* holds:
-//! scraping ≫ feature extraction ≫ loading ≈ classification.
+//! scraping ≫ feature extraction ≫ loading ≈ classification. The
+//! repository's end-to-end and per-layer benchmark is `perfbench/`
+//! (see `BENCHMARK.json`).
 //!
 //! Run: `cargo run --release -p kyp-bench --bin exp_table8_timing -- --scale 0.02 --threads 1,2,4`
 //!
 //! [`FeatureExtractor::extract_batch`]: kyp_core::FeatureExtractor::extract_batch
-//! [`PhishDetector::score_reference`]: kyp_core::PhishDetector::score_reference
 //! [`PhishDetector::score_batch`]: kyp_core::PhishDetector::score_batch
 
 use kyp_bench::{harness, report, EvalArgs, ExperimentEnv};
@@ -107,7 +98,7 @@ fn main() {
         .collect();
     print_row("Total (no scraping)", &total);
 
-    // --- Batch-scoring thread sweep: baseline vs flat hot path ----------
+    // --- Batch-scoring thread sweep -------------------------------------
     let sweep = if args.threads.is_empty() {
         vec![1, 2, 4]
     } else {
@@ -120,13 +111,12 @@ fn main() {
         visits.len()
     );
     println!(
-        "{:>8} {:>14} {:>14} {:>10} {:>12} {:>10}",
-        "Threads", "Base pages/s", "Flat pages/s", "Flat gain", "Scrape ms", "Identical"
+        "{:>8} {:>12} {:>12} {:>10} {:>12} {:>10}",
+        "Threads", "Pages/s", "Extract ms", "Score ms", "Scrape ms", "Identical"
     );
 
-    let mut first_flat_wall: Option<f64> = None;
-    let mut cross_point_scores: Option<Vec<u64>> = None;
-    let mut cross_point_model: Option<String> = None;
+    let mut first_wall: Option<f64> = None;
+    let mut first_outputs: Option<(Vec<u64>, String)> = None;
     let mut entries = Vec::new();
     let mut all_identical = true;
     let hardware_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -147,32 +137,9 @@ fn main() {
             );
         }
 
-        // Baseline pass: per-page extraction (fresh scratch each page)
-        // scored through the boxed-enum tree walk.
-        let mut base_extract = f64::INFINITY;
-        let mut base_score = f64::INFINITY;
-        let mut base_scores: Vec<f64> = Vec::new();
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let rows: Vec<Vec<f64>> =
-                kyp_exec::pool().par_map(&visits, |v| env.extractor.extract(v));
-            let extract_s = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let run: Vec<f64> = kyp_exec::pool().par_map(&rows, |f| detector.score_reference(f));
-            let score_s = t1.elapsed().as_secs_f64();
-            if extract_s + score_s < base_extract + base_score {
-                base_extract = extract_s;
-                base_score = score_s;
-            }
-            base_scores = run;
-        }
-        let base_wall = base_extract + base_score;
-
-        // Flat pass: scratch-reusing chunked extraction + compiled SoA
-        // batch inference.
-        let mut flat_extract = f64::INFINITY;
-        let mut flat_score = f64::INFINITY;
-        let mut flat_scores: Vec<f64> = Vec::new();
+        let mut extract_wall = f64::INFINITY;
+        let mut score_wall = f64::INFINITY;
+        let mut scores: Vec<f64> = Vec::new();
         for _ in 0..REPS {
             let t0 = Instant::now();
             let rows = env.extractor.extract_batch(&visits);
@@ -184,13 +151,13 @@ fn main() {
                 .flatten()
                 .collect();
             let score_s = t1.elapsed().as_secs_f64();
-            if extract_s + score_s < flat_extract + flat_score {
-                flat_extract = extract_s;
-                flat_score = score_s;
+            if extract_s + score_s < extract_wall + score_wall {
+                extract_wall = extract_s;
+                score_wall = score_s;
             }
-            flat_scores = run;
+            scores = run;
         }
-        let flat_wall = flat_extract + flat_score;
+        let wall = extract_wall + score_wall;
 
         // Scrape stage: the arena-backed parse path, one arena per chunk.
         let mut scrape_wall = f64::INFINITY;
@@ -217,82 +184,42 @@ fn main() {
         let train_wall_ms = t_train.elapsed().as_secs_f64() * 1e3;
         let model_json = serde_json::to_string(&trained).expect("serialize model");
 
-        // Bit-identity: flat vs baseline within the point, and both vs
-        // the first sweep point (thread-count invariance), plus the
-        // retrained model.
-        let flat_bits: Vec<u64> = flat_scores.iter().map(|s| s.to_bits()).collect();
-        let base_bits: Vec<u64> = base_scores.iter().map(|s| s.to_bits()).collect();
-        let identical = match (&cross_point_scores, &cross_point_model) {
-            (None, None) => {
-                let same = flat_bits == base_bits;
-                cross_point_scores = Some(flat_bits);
-                cross_point_model = Some(model_json);
-                same
+        // Thread-count invariance: scores and the retrained model must
+        // match the first sweep point bit for bit.
+        let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+        let identical = match &first_outputs {
+            None => {
+                first_outputs = Some((bits, model_json));
+                true
             }
-            (Some(first_bits), Some(first_model)) => {
-                flat_bits == base_bits && *first_bits == flat_bits && *first_model == model_json
-            }
-            _ => unreachable!("cross-point baselines are set together"),
+            Some((first_bits, first_model)) => *first_bits == bits && *first_model == model_json,
         };
         all_identical &= identical;
 
-        let speedup = match first_flat_wall {
+        let speedup = match first_wall {
             None => {
-                first_flat_wall = Some(flat_wall);
+                first_wall = Some(wall);
                 1.0
             }
-            Some(first) => first / flat_wall,
+            Some(first) => first / wall,
         };
 
-        let pages = visits.len() as f64;
-        let base_pps = pages / base_wall;
-        let flat_pps = pages / flat_wall;
-        if flat_pps <= base_pps {
-            eprintln!(
-                "warning: flat hot path did not beat the baseline at --threads {threads} \
-                 ({flat_pps:.0} <= {base_pps:.0} pages/sec)"
-            );
-        }
-
         println!(
-            "{threads:>8} {base_pps:>14.0} {flat_pps:>14.0} {:>10.2} {:>12.1} {identical:>10}",
-            flat_pps / base_pps,
+            "{threads:>8} {:>12.0} {:>12.2} {:>10.2} {:>12.1} {identical:>10}",
+            visits.len() as f64 / wall,
+            extract_wall * 1e3,
+            score_wall * 1e3,
             scrape_wall * 1e3,
         );
-        let mut entry = report::timing_entry(threads, visits.len(), flat_wall, speedup);
-        report::push_field(
-            &mut entry,
-            "baseline_pages_per_sec",
-            report::float(base_pps),
-        );
-        report::push_field(&mut entry, "flat_pages_per_sec", report::float(flat_pps));
-        report::push_field(
-            &mut entry,
-            "flat_speedup_vs_baseline",
-            report::float(flat_pps / base_pps),
-        );
-        report::push_field(
-            &mut entry,
-            "baseline_extract_wall_ms",
-            report::float(base_extract * 1e3),
-        );
-        report::push_field(
-            &mut entry,
-            "baseline_score_wall_ms",
-            report::float(base_score * 1e3),
-        );
-        report::push_field(
-            &mut entry,
-            "scrape_wall_ms",
-            report::float(scrape_wall * 1e3),
-        );
-        report::push_field(
-            &mut entry,
-            "extract_wall_ms",
-            report::float(flat_extract * 1e3),
-        );
-        report::push_field(&mut entry, "score_wall_ms", report::float(flat_score * 1e3));
-        report::push_field(&mut entry, "train_wall_ms", report::float(train_wall_ms));
+        let mut entry = report::timing_entry(threads, visits.len(), wall, speedup);
+        for (key, ms) in [
+            ("scrape_wall_ms", scrape_wall * 1e3),
+            ("extract_wall_ms", extract_wall * 1e3),
+            ("score_wall_ms", score_wall * 1e3),
+            ("train_wall_ms", train_wall_ms),
+        ] {
+            report::push_field(&mut entry, key, report::float(ms));
+        }
         report::push_field(&mut entry, "outputs_identical", report::boolean(identical));
         report::push_field(
             &mut entry,
@@ -305,7 +232,7 @@ fn main() {
 
     assert!(
         all_identical,
-        "flat and baseline scoring must be bit-identical at every thread count"
+        "batch scores and the trained model must be bit-identical at every thread count"
     );
 
     let section = report::object([

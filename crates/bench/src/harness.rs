@@ -1,16 +1,48 @@
 //! Scrape-and-featurise plumbing shared by the experiment binaries.
 
+use knowyourphish::cli::{ArgSpec, CommandSpec, Parsed, ParsedOpts};
 use kyp_core::FeatureExtractor;
 use kyp_datagen::{CampaignConfig, Corpus};
 use kyp_ml::Dataset;
 use kyp_serve::PageSource;
 use kyp_web::{Browser, FailureCause, ScrapedPage, VisitedPage};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The options every experiment binary accepts: `--scale`, `--seed` and
+/// `--threads`. A binary with options of its own declares a
+/// [`CommandSpec`] listing these plus its own and parses it with
+/// [`EvalArgs::parse_with`].
+pub const EVAL_OPTIONS: [ArgSpec; 3] = [
+    ArgSpec {
+        name: "scale",
+        value: "<f>",
+        help: "fraction of the paper's Table V sizes to generate (default 0.05)",
+    },
+    ArgSpec {
+        name: "seed",
+        value: "<n>",
+        help: "corpus seed (default 2015)",
+    },
+    ArgSpec {
+        name: "threads",
+        value: "<n[,n...]>",
+        help: "thread count, or a comma list to sweep over",
+    },
+];
+
+/// The spec of a binary that takes only [`EVAL_OPTIONS`].
+static EVAL_SPEC: CommandSpec = CommandSpec {
+    name: "experiment",
+    summary: "regenerate one table or figure of the paper",
+    positional: None,
+    args: &EVAL_OPTIONS,
+};
+
 /// Command-line arguments common to every experiment binary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalArgs {
     /// Fraction of the paper's Table V sizes to generate.
     pub scale: f64,
@@ -22,48 +54,87 @@ pub struct EvalArgs {
 }
 
 impl EvalArgs {
-    /// Parses `--scale <f>`, `--seed <n>` and `--threads <n[,n...]>` from
-    /// `std::env::args`.
-    ///
-    /// A single-valued `--threads` immediately becomes the process-wide
-    /// [`kyp_exec`] thread count; a comma list is left for the binary to
-    /// sweep over. Unknown arguments are ignored so binaries can add
-    /// their own.
+    /// Parses [`EVAL_OPTIONS`] from `std::env::args`; see
+    /// [`EvalArgs::parse_with`].
     pub fn parse() -> Self {
-        let mut args = EvalArgs {
-            scale: 0.05,
-            seed: 2015,
-            threads: Vec::new(),
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--scale" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.scale = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.seed = v;
-                    }
-                }
-                "--threads" => {
-                    if let Some(list) = iter.next() {
-                        args.threads = list
-                            .split(',')
-                            .filter_map(|v| v.trim().parse().ok())
-                            .filter(|&v| v >= 1)
-                            .collect();
-                    }
-                }
-                _ => {}
+        Self::parse_with(&EVAL_SPEC).0
+    }
+
+    /// Parses `std::env::args` against `spec`, which must declare
+    /// [`EVAL_OPTIONS`], and returns the common arguments plus every
+    /// option given, for the binary's own.
+    ///
+    /// An unknown option, a missing value or a malformed `--scale`,
+    /// `--seed` or `--threads` prints one line on stderr and exits with
+    /// status 2 before anything is generated; `--help` prints the
+    /// options and exits 0. A single-valued `--threads` immediately
+    /// becomes the process-wide [`kyp_exec`] thread count; a comma list
+    /// is left for the binary to sweep over.
+    pub fn parse_with(spec: &CommandSpec) -> (Self, ParsedOpts) {
+        let mut argv = std::env::args();
+        let bin = argv
+            .next()
+            .as_deref()
+            .and_then(|p| Path::new(p).file_stem())
+            .map_or_else(
+                || spec.name.to_owned(),
+                |s| s.to_string_lossy().into_owned(),
+            );
+        let argv: Vec<String> = argv.collect();
+        // The shared parser words its messages for `kyp <command>`; an
+        // experiment binary is a command of its own.
+        let own = |text: String| text.replace(&format!("kyp {}", spec.name), &bin);
+        let opts = match spec.parse(&argv) {
+            Ok(Parsed::Opts(opts)) => opts,
+            Ok(Parsed::Help) => {
+                println!("{}", own(spec.help_text()));
+                std::process::exit(0);
             }
+            Err(e) => {
+                eprintln!("{bin}: {}", own(e));
+                std::process::exit(2);
+            }
+        };
+        let args = Self::from_opts(&opts).unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        });
+        if let [threads] = args.threads[..] {
+            kyp_exec::set_threads(threads);
         }
-        if args.threads.len() == 1 {
-            kyp_exec::set_threads(args.threads[0]);
+        (args, opts)
+    }
+
+    /// The common arguments of a parsed command line, with their
+    /// defaults for options not given.
+    ///
+    /// # Errors
+    ///
+    /// A `--scale` that is not a positive number, a `--seed` that is
+    /// not a non-negative integer, or a `--threads` list with an entry
+    /// that is not a positive integer.
+    pub fn from_opts(opts: &ParsedOpts) -> Result<Self, String> {
+        let scale: f64 = opts.num("scale", 0.05)?;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(format!("invalid --scale {scale} (want a positive number)"));
         }
-        args
+        let threads = match opts.get("threads") {
+            None => Vec::new(),
+            Some(list) => list
+                .split(',')
+                .map(|v| match v.trim().parse::<usize>() {
+                    Ok(n) if n >= 1 => Ok(n),
+                    _ => Err(format!(
+                        "invalid --threads {list:?}: {v:?} is not a positive integer"
+                    )),
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(EvalArgs {
+            scale,
+            seed: opts.num("seed", 2015)?,
+            threads,
+        })
     }
 
     /// The campaign configuration for these arguments.
@@ -189,6 +260,66 @@ mod tests {
     use super::*;
     use kyp_core::{DetectorConfig, PhishDetector};
     use kyp_ml::metrics;
+
+    fn eval_args(line: &[&str]) -> Result<EvalArgs, String> {
+        let argv: Vec<String> = line.iter().map(|s| (*s).to_owned()).collect();
+        match EVAL_SPEC.parse(&argv)? {
+            Parsed::Opts(opts) => EvalArgs::from_opts(&opts),
+            Parsed::Help => Err("help".to_owned()),
+        }
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        let err = eval_args(&["--scale", "0.02", "--typo", "x"]).unwrap_err();
+        assert!(err.contains("unknown option --typo"), "{err}");
+        let err = eval_args(&["--scale", "abc"]).unwrap_err();
+        assert!(err.contains("--scale") && err.contains("abc"), "{err}");
+        let err = eval_args(&["--threads", "1,x"]).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("\"x\""), "{err}");
+        for bad in [
+            &["--threads", "0"][..],
+            &["--threads", "1,,2"],
+            &["--scale", "0"],
+            &["--scale", "NaN"],
+            &["--seed", "-1"],
+            &["--seed"],
+        ] {
+            assert!(eval_args(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn valid_command_lines_keep_their_values() {
+        assert_eq!(
+            eval_args(&[]).unwrap(),
+            EvalArgs {
+                scale: 0.05,
+                seed: 2015,
+                threads: Vec::new(),
+            }
+        );
+        assert_eq!(
+            eval_args(&["--scale", "0.02", "--threads", "1,2,4"]).unwrap(),
+            EvalArgs {
+                scale: 0.02,
+                seed: 2015,
+                threads: vec![1, 2, 4],
+            }
+        );
+        assert_eq!(
+            eval_args(&["--seed", "7", "--threads", "2", "--scale", "1"]).unwrap(),
+            EvalArgs {
+                scale: 1.0,
+                seed: 7,
+                threads: vec![2],
+            }
+        );
+        assert_eq!(
+            eval_args(&["--threads", "1, 2"]).unwrap().threads,
+            vec![1, 2]
+        );
+    }
 
     /// End-to-end learnability: on a small corpus, the full 212-feature
     /// detector must separate phish from legitimate pages nearly

@@ -8,7 +8,9 @@
 //! into feature datasets, scoring, and formatting the paper's tables.
 //!
 //! Every binary accepts a `--scale <fraction>` argument (default 0.05)
-//! that scales Table V sizes, and `--seed <n>` to vary the corpus.
+//! that scales Table V sizes, `--seed <n>` to vary the corpus and
+//! `--threads <n[,n...]>`; an unknown option or a malformed value is a
+//! hard error ([`EvalArgs::parse`]).
 
 pub mod harness;
 pub mod plot;

@@ -10,7 +10,6 @@
 //! [`object`] / [`float`] / [`uint`] / [`boolean`] constructors here are
 //! the building blocks for report values.
 
-use kyp_serve::LatencySummary;
 use serde_json::{Number, Value};
 use std::fs;
 use std::path::Path;
@@ -18,15 +17,6 @@ use std::path::Path;
 /// Default report location, relative to the working directory (the
 /// experiment binaries run from the repo root).
 pub const BENCH_REPORT_PATH: &str = "BENCH_pipeline.json";
-
-/// Serving-benchmark report location (`exp_serve_throughput`).
-pub const BENCH_SERVE_REPORT_PATH: &str = "BENCH_serve.json";
-
-/// Cluster-benchmark report location (`exp_cluster_throughput`).
-pub const BENCH_CLUSTER_REPORT_PATH: &str = "BENCH_cluster.json";
-
-/// Store-benchmark report location (`exp_store_throughput`).
-pub const BENCH_STORE_REPORT_PATH: &str = "BENCH_store.json";
 
 /// Cascade-frontier report location (`exp_cascade_frontier`).
 pub const BENCH_CASCADE_REPORT_PATH: &str = "BENCH_cascade.json";
@@ -104,19 +94,6 @@ pub fn timing_entry(threads: usize, pages: usize, wall_secs: f64, speedup_vs_1: 
     ])
 }
 
-/// The report form of a latency percentile summary — the `kyp-serve`
-/// histogram's p50/p90/p99 digest as one json object.
-pub fn latency_summary_value(summary: &LatencySummary) -> Value {
-    object([
-        ("count", uint(summary.count)),
-        ("mean_ms", float(summary.mean_ms)),
-        ("p50_ms", uint(summary.p50_ms)),
-        ("p90_ms", uint(summary.p90_ms)),
-        ("p99_ms", uint(summary.p99_ms)),
-        ("max_ms", uint(summary.max_ms)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +139,6 @@ mod tests {
         assert_eq!(e.get("speedup_vs_1").unwrap().as_f64(), Some(2.0));
         let zero = timing_entry(1, 10, 0.0, 1.0);
         assert_eq!(zero.get("pages_per_sec").unwrap().as_f64(), Some(0.0));
-    }
-
-    #[test]
-    fn latency_summary_converts_on_known_inputs() {
-        // Histogram over 1..=100 ms: p50 hits the (32, 64] bucket bound,
-        // p90/p99 clamp to the exact max (see kyp-serve's unit tests).
-        let mut h = kyp_serve::LatencyHistogram::new();
-        for ms in 1..=100 {
-            h.record(ms);
-        }
-        let v = latency_summary_value(&h.summary());
-        assert_eq!(v.get("count").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("p50_ms").unwrap().as_u64(), Some(64));
-        assert_eq!(v.get("p90_ms").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("p99_ms").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("max_ms").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("mean_ms").unwrap().as_f64(), Some(50.5));
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! - under a **fault plan** — all retry/breaker timing is virtual.
 //!
 //! The cache's payoff is wall-clock time only: hits skip feature
-//! extraction and both model stages, which `exp_serve_throughput`
-//! measures as real pages/second.
+//! extraction and both model stages, which perfbench's `serve_cascade`
+//! workload measures (see `BENCHMARK.json`).
 
 pub mod batcher;
 pub mod cache;

@@ -2,7 +2,7 @@
 //!
 //! This module is the seam between corpus generation and the persistent
 //! [`kyp_store`] format, shared by the `kyp` CLI, the determinism tests
-//! and the `exp_store_throughput` benchmark so all three stream the
+//! and the `perfbench` benchmark so all three stream the
 //! exact same bytes:
 //!
 //! - [`build_store`] scrapes a generated [`Corpus`] bundle by bundle

@@ -153,7 +153,9 @@ fn kfold_is_thread_count_invariant() {
 }
 
 /// Batch feature extraction and batch scoring agree with the pointwise
-/// serial path at every thread count.
+/// serial path at every thread count, and the compiled flat model
+/// scores every 212-feature row bit-identically to the reference
+/// boxed-tree walk.
 #[test]
 fn batch_extraction_and_scoring_are_thread_count_invariant() {
     let corpus = small_corpus();
@@ -180,6 +182,14 @@ fn batch_extraction_and_scoring_are_thread_count_invariant() {
         .iter()
         .map(|s| s.to_bits())
         .collect();
+    let reference_scores: Vec<u64> = serial_rows
+        .iter()
+        .map(|row| detector.score_reference(row).to_bits())
+        .collect();
+    assert_eq!(
+        serial_scores, reference_scores,
+        "flat scores diverge from the reference tree walk"
+    );
 
     for threads in THREAD_COUNTS {
         knowyourphish::exec::set_threads(threads);
