@@ -27,13 +27,18 @@ pub struct FailoverCounters {
 pub struct RoutingCounters {
     /// Requests handed to a node (re-dispatches included).
     pub dispatched: u64,
-    /// Dispatch attempts deflected by a node's admission queue (per-node
-    /// backpressure) and retried on the next ring candidate.
+    /// Refusals by a node's admission queue (per-node backpressure) on
+    /// dispatch attempts actually made; each moves the request on to the
+    /// next ring candidate. Parked requests are not re-offered while no
+    /// node could take one, so those skipped retries count nothing here,
+    /// nor in the refusing node's `queue.shed`.
     pub route_around: u64,
-    /// Requests parked at the router because every live candidate
-    /// refused; parked requests re-dispatch as capacity frees.
+    /// Times a request entered the router's park queue because every live
+    /// candidate refused it, on arrival or on failover. A retry that
+    /// finds room leaves the queue without re-parking.
     pub parked: u64,
-    /// Dispatches of hot landing URLs spread over the replica set.
+    /// Routing decisions for hot landing URLs rotated over the replica
+    /// set, including the one made when a request leaves the park queue.
     pub hot_fanout: u64,
 }
 

@@ -41,8 +41,8 @@ use crate::store::SharedStore;
 use kyp_core::{CascadeClassifier, CascadeDecision, Pipeline};
 use kyp_obs::VerdictStage;
 use kyp_serve::{
-    canonical_key, CacheState, CascadeCounters, LatencyHistogram, PageSource, ScoringService,
-    ServeConfig, ServeOutcome, ServeRequest, ServeResponse,
+    CacheState, CascadeCounters, LatencyHistogram, PageSource, ScoringService, ServeConfig,
+    ServeOutcome, ServeRequest, ServeResponse,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -362,8 +362,8 @@ impl<S: PageSource> ClusterService<S> {
             let result = self.source.fetch(&request.url);
             self.store.put(store_key.clone(), result);
         }
-        let landing_key = match self.store.get(&store_key) {
-            Some(Ok(page)) => canonical_key(&page.visit.landing_url),
+        let landing_key = match self.store.landing_key(&store_key) {
+            Some(Ok(key)) => key,
             fetched => {
                 // Unfetchable (or, defensively, a missing memo entry):
                 // decided here, before placement, so it is crash- and
@@ -585,16 +585,37 @@ impl<S: PageSource> ClusterService<S> {
         self.parked.push_back((id, pending));
     }
 
-    /// Re-attempts every parked request once at `now_ms`. Requests still
-    /// refused re-park (at the back), so one drain pass terminates.
+    /// Re-attempts parked requests at `now_ms`, oldest first, while some
+    /// node can take one. Every node is a candidate for every key, so once
+    /// no node accepts, every remaining request would be refused and
+    /// re-park in its current order: stopping there leaves the queue as
+    /// trying each of them would. Each request is tried at most once, so
+    /// the pass terminates.
     fn drain_parked(&mut self, now_ms: u64, out: &mut Vec<ClusterResponse>) {
         let rounds = self.parked.len();
         for _ in 0..rounds {
+            if !self.any_node_accepts(now_ms) {
+                break;
+            }
             let Some((id, pending)) = self.parked.pop_front() else {
                 break;
             };
             self.dispatch(id, pending, now_ms, out);
         }
+    }
+
+    /// Would a dispatch at `now_ms` land somewhere? True when a node the
+    /// router believes live is either dead but undetected (it swallows the
+    /// request), has queue room, or has a batch due that the push would
+    /// flush first. A refused push changes nothing but counters, so this
+    /// is exactly "some candidate accepts".
+    fn any_node_accepts(&self, now_ms: u64) -> bool {
+        self.nodes.iter().any(|slot| {
+            slot.router_live
+                && (!slot.alive
+                    || slot.service.queue_len() < slot.service.queue_capacity()
+                    || slot.service.next_due().is_some_and(|due| due <= now_ms))
+        })
     }
 
     /// Any request not yet finally answered?

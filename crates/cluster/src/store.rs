@@ -9,7 +9,7 @@
 //! result here; nodes read through [`SharedStore`] — a [`PageSource`]
 //! that only ever does keyed lookups of already-fetched pages.
 
-use kyp_serve::{canonical_url, PageSource};
+use kyp_serve::{canonical_key, canonical_url, PageSource};
 use kyp_web::{FailureCause, ScrapedPage};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -46,6 +46,15 @@ impl SharedStore {
     /// The stored fetch result for `key`, if any.
     pub fn get(&self, key: &str) -> Option<Result<ScrapedPage, FailureCause>> {
         self.pages.borrow().get(key).cloned()
+    }
+
+    /// The canonical landing key of the page stored under `key`, or its
+    /// fetch failure — read in place, without copying the page.
+    pub fn landing_key(&self, key: &str) -> Option<Result<String, FailureCause>> {
+        self.pages.borrow().get(key).map(|fetched| match fetched {
+            Ok(page) => Ok(canonical_key(&page.visit.landing_url)),
+            Err(cause) => Err(*cause),
+        })
     }
 
     /// Records the fetch result for `key`. First write wins: the memo is
@@ -114,6 +123,10 @@ mod tests {
         let fetched = b.fetch("https://x.example.com/p?q=1").unwrap();
         assert_eq!(fetched.visit.title, "T");
         assert_eq!(a.len(), 1);
+        assert_eq!(
+            b.landing_key(&SharedStore::key_of("http://x.example.com/p")),
+            Some(Ok(canonical_key(&fetched.visit.landing_url)))
+        );
     }
 
     #[test]
@@ -123,6 +136,8 @@ mod tests {
         store.put(key.clone(), Err(FailureCause::Timeout));
         store.put(key.clone(), Ok(page("http://x.example.com/")));
         assert_eq!(store.get(&key), Some(Err(FailureCause::Timeout)));
+        assert_eq!(store.landing_key(&key), Some(Err(FailureCause::Timeout)));
+        assert_eq!(store.landing_key("http://never.example.com/"), None);
     }
 
     #[test]

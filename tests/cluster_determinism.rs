@@ -176,6 +176,16 @@ fn cluster_stream_is_invariant_across_shards_replicas_threads_and_crashes() {
                             "bursts must overflow a single node's queue ({shape})"
                         );
                     }
+                    // A request parks only when it arrives or fails over
+                    // into a full fleet; a drain that finds no room leaves
+                    // the queue alone instead of re-parking every entry.
+                    assert!(
+                        report.routing.parked <= report.requests + report.failover.redispatched,
+                        "{} parks for {} requests and {} re-dispatches ({shape})",
+                        report.routing.parked,
+                        report.requests,
+                        report.failover.redispatched
+                    );
                     hot_fanout_seen |= report.routing.hot_fanout > 0;
                     match &baseline {
                         None => baseline = Some(lines),
@@ -282,4 +292,45 @@ fn cluster_metrics_render_identically_across_thread_counts() {
         "cluster metrics must not depend on the thread count"
     );
     knowyourphish::exec::set_threads(0);
+}
+
+/// FNV-1a 64 digests of the complete serialized response list — node,
+/// retries, latency, completion instant, cache state and finalization
+/// order, not just the id-sorted verdict projection — per `(shards,
+/// crash)` shape at one thread. The router's retry schedule decides every
+/// one of those fields, so any change to when or where a request is
+/// dispatched moves a digest.
+const FULL_RESPONSE_DIGESTS: [(usize, bool, u64); 4] = [
+    (1, false, 7460897208664590092),
+    (1, true, 1713924495721736139),
+    (2, false, 11274200368449547864),
+    (2, true, 2223644219204058847),
+];
+
+#[test]
+fn cluster_full_responses_are_pinned() {
+    let corpus = small_corpus();
+    let pipeline = pipeline_for(&corpus);
+    let trace = cluster_trace(&corpus);
+    knowyourphish::exec::set_threads(1);
+
+    let mut got = Vec::new();
+    for (shards, crash, _) in FULL_RESPONSE_DIGESTS {
+        let source = ScraperSource::new(&corpus.world);
+        let mut cluster =
+            ClusterService::new(pipeline.clone(), source, cluster_config(shards, 2, crash));
+        let responses = cluster.run_trace(&trace);
+        assert_eq!(responses.len(), trace.len());
+        let json = serde_json::to_string(&responses).expect("responses serialize");
+        got.push((
+            shards,
+            crash,
+            knowyourphish::store::fnv1a64(json.as_bytes()),
+        ));
+    }
+    knowyourphish::exec::set_threads(0);
+    assert_eq!(
+        got, FULL_RESPONSE_DIGESTS,
+        "full cluster response lists moved"
+    );
 }
